@@ -31,6 +31,23 @@ use dda_simt::Device;
 /// Tile edge (m): a 256-thread block covers one 16×16 tile.
 const TILE: usize = 16;
 
+/// Per-thread buffers of the `broad.pair_tiles` kernel, reused across
+/// blocks and launches so the tiled pair test does not allocate per block.
+#[derive(Default)]
+struct TileScratch {
+    row_boxes: Vec<f64>,
+    col_idx: Vec<usize>,
+    col_boxes: Vec<f64>,
+    words: Vec<u32>,
+    stores: Vec<(usize, u32)>,
+    mask: Vec<bool>,
+}
+
+thread_local! {
+    static TILE_SCRATCH: std::cell::RefCell<TileScratch> =
+        std::cell::RefCell::new(TileScratch::default());
+}
+
 /// Serial reference: upper-triangular AABB sweep into the workspace's
 /// pair buffer (allocation-free at steady state). Pairs `(i, j)` with
 /// `i < j`, sorted.
@@ -127,57 +144,69 @@ pub fn broad_phase_gpu_ws(dev: &Device, soa: &GeomSoa, range: f64, ws: &mut Cont
         let b_boxes = dev.bind_ro(&ws.boxes);
         let b_flags = dev.bind(&mut ws.flags[..]);
         dev.launch_blocks("broad.pair_tiles", tiles_r * tiles_c, 256, |blk| {
-            let tr = blk.block_id / tiles_c;
-            let tc = blk.block_id % tiles_c;
-            let r0 = tr * TILE;
-            let c0 = tc * TILE;
-            let rows = TILE.min(n - r0);
-            let ccount = TILE.min(cols - c0);
+            TILE_SCRATCH.with(|cell| {
+                let mut s = cell.borrow_mut();
+                let TileScratch {
+                    row_boxes,
+                    col_idx,
+                    col_boxes,
+                    words,
+                    stores,
+                    mask,
+                } = &mut *s;
+                let tr = blk.block_id / tiles_c;
+                let tc = blk.block_id % tiles_c;
+                let r0 = tr * TILE;
+                let c0 = tc * TILE;
+                let rows = TILE.min(n - r0);
+                let ccount = TILE.min(cols - c0);
 
-            // Row boxes: m coalesced quadruples.
-            let row_boxes = blk.gld_range(&b_boxes, 4 * r0, 4 * rows);
-            // Column boxes: the 2m−1 distinct j values of this tile, loaded
-            // once and shared (paper's shared-memory optimisation). For
-            // tiny n the cache may contain repeated blocks (j wraps mod n);
-            // that only costs a few duplicate loads.
-            let distinct = rows + ccount - 1;
-            let col_js: Vec<usize> = (0..distinct).map(|d| (r0 + c0 + 1 + d) % n).collect();
-            let col_idx: Vec<usize> = col_js
-                .iter()
-                .flat_map(|&j| (0..4).map(move |k| 4 * j + k))
-                .collect();
-            let col_boxes = blk.gld_gather(&b_boxes, &col_idx);
-            let words: Vec<u32> = (0..(4 * distinct) as u32).collect();
-            blk.smem_access(&words);
-            blk.sync();
+                // Row boxes: m coalesced quadruples.
+                blk.gld_range_into(&b_boxes, 4 * r0, 4 * rows, row_boxes);
+                // Column boxes: the 2m−1 distinct j values of this tile, loaded
+                // once and shared (paper's shared-memory optimisation). For
+                // tiny n the cache may contain repeated blocks (j wraps mod n);
+                // that only costs a few duplicate loads.
+                let distinct = rows + ccount - 1;
+                col_idx.clear();
+                col_idx.extend((0..distinct).flat_map(|d| {
+                    let j = (r0 + c0 + 1 + d) % n;
+                    (0..4).map(move |k| 4 * j + k)
+                }));
+                blk.gld_gather_into(&b_boxes, col_idx, col_boxes);
+                words.clear();
+                words.extend(0..(4 * distinct) as u32);
+                blk.smem_access(words);
+                blk.sync();
 
-            blk.flop_all(8);
-            let mut stores: Vec<(usize, u32)> = Vec::new();
-            let mut mask: Vec<bool> = Vec::with_capacity(rows * ccount);
-            for r in 0..rows {
-                for c in 0..ccount {
-                    let gr = r0 + r;
-                    let gc = c0 + c;
-                    // Skip the double-counted half-column for even n.
-                    if even && gc == cols - 1 && gr >= n / 2 {
-                        mask.push(false);
-                        continue;
-                    }
-                    let d = r + c; // index into the distinct-j cache
-                    let rb = &row_boxes[4 * r..4 * r + 4];
-                    let cb = &col_boxes[4 * d..4 * d + 4];
-                    let overlap =
-                        rb[0] <= cb[2] && cb[0] <= rb[2] && rb[1] <= cb[3] && cb[1] <= rb[3];
-                    mask.push(overlap);
-                    if overlap {
-                        let gj = (gr + gc + 1) % n;
-                        let (i, j) = (gr.min(gj), gr.max(gj));
-                        stores.push((i * n - i * (i + 1) / 2 + (j - i - 1), 1u32));
+                blk.flop_all(8);
+                stores.clear();
+                mask.clear();
+                for r in 0..rows {
+                    for c in 0..ccount {
+                        let gr = r0 + r;
+                        let gc = c0 + c;
+                        // Skip the double-counted half-column for even n.
+                        if even && gc == cols - 1 && gr >= n / 2 {
+                            mask.push(false);
+                            continue;
+                        }
+                        let d = r + c; // index into the distinct-j cache
+                        let rb = &row_boxes[4 * r..4 * r + 4];
+                        let cb = &col_boxes[4 * d..4 * d + 4];
+                        let overlap =
+                            rb[0] <= cb[2] && cb[0] <= rb[2] && rb[1] <= cb[3] && cb[1] <= rb[3];
+                        mask.push(overlap);
+                        if overlap {
+                            let gj = (gr + gc + 1) % n;
+                            let (i, j) = (gr.min(gj), gr.max(gj));
+                            stores.push((i * n - i * (i + 1) / 2 + (j - i - 1), 1u32));
+                        }
                     }
                 }
-            }
-            blk.branch_mask(0, &mask);
-            blk.gst_scatter(&b_flags, &stores);
+                blk.branch_mask(0, mask);
+                blk.gst_scatter(&b_flags, stores);
+            });
         });
     }
 

@@ -6,13 +6,17 @@
 //! pair lists live in the workspace and are reused by capacity, and all
 //! sorting is in-place `sort_unstable`. This test arms a counting global
 //! allocator around the warmed calls and requires exactly zero heap
-//! allocations.
+//! allocations. Counting is per thread: only the arming thread's
+//! allocations count, so the audits are independent of each other and of
+//! the test harness's thread scheduling.
 //!
-//! Only the serial paths are audited: the device paths reuse their
-//! host-side workspace buffers too, but the simulator's primitives
-//! (radix sort, scan, compaction) allocate internally by design — their
+//! Only the serial contact paths are audited: the device paths reuse
+//! their host-side workspace buffers too, but the simulator's primitives
+//! (radix sort, scan, compaction) return fresh vectors by design — their
 //! buffer-capacity steady state is asserted in `contact::grid`'s unit
-//! tests instead.
+//! tests instead. The simulator's own launch machinery is audited here:
+//! a warmed per-thread launch and a warmed block launch with a range load
+//! must not allocate.
 //!
 //! The assembly cache's host bookkeeping gets the same treatment: once
 //! warmed, the per-step rebind (buffer sizing + flattened joint-parameter
@@ -20,7 +24,7 @@
 //! step must be allocation-free.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::Mutex;
 
 use dda_core::contact::{
@@ -31,24 +35,34 @@ use dda_core::AssemblyCache;
 use dda_core::{Block, BlockMaterial, BlockSystem, JointMaterial};
 use dda_geom::Polygon;
 use dda_simt::serial::CpuCounter;
+use dda_simt::{Device, DeviceProfile};
 
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Per-thread arming: only allocations made by the thread that armed
+    // the audit are counted, so audits on parallel test threads (and
+    // their unguarded warm-ups) never see each other's allocations.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_alloc() {
+    // `try_with`: the allocator also runs during thread teardown, after
+    // the thread-locals are gone.
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -60,9 +74,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Serializes the armed sections: the counter is global, so two audits
-/// running on parallel test threads would see each other's allocations.
-static GATE: Mutex<()> = Mutex::new(());
+/// Runs `f` with this thread's allocation counter armed and returns the
+/// number of heap allocations it performed.
+fn count_allocs(f: impl FnOnce()) -> usize {
+    ALLOCS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
+    f();
+    ARMED.with(|a| a.set(false));
+    ALLOCS.with(Cell::get)
+}
 
 fn grid_system(nx: usize, ny: usize, gap: f64) -> BlockSystem {
     let mut blocks = Vec::new();
@@ -114,29 +134,25 @@ fn warmed_serial_broad_phases_allocate_nothing() {
     assert!(!expected.is_empty(), "audit needs real pair work");
 
     // Measure.
-    let _gate = GATE.lock().unwrap();
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    broad_phase_serial_ws(&sys, range, &mut counter, &mut ws_all);
-    detect_broad_serial(
-        &sys,
-        BroadPhaseMode::Grid,
-        range,
-        slack,
-        &mut counter,
-        &mut ws_grid,
-    );
-    detect_broad_serial(
-        &sys,
-        BroadPhaseMode::GridCached,
-        range,
-        slack,
-        &mut counter,
-        &mut ws_cached,
-    );
-    ARMED.store(false, Ordering::SeqCst);
-
-    let n_allocs = ALLOCS.load(Ordering::SeqCst);
+    let n_allocs = count_allocs(|| {
+        broad_phase_serial_ws(&sys, range, &mut counter, &mut ws_all);
+        detect_broad_serial(
+            &sys,
+            BroadPhaseMode::Grid,
+            range,
+            slack,
+            &mut counter,
+            &mut ws_grid,
+        );
+        detect_broad_serial(
+            &sys,
+            BroadPhaseMode::GridCached,
+            range,
+            slack,
+            &mut counter,
+            &mut ws_cached,
+        );
+    });
     assert_eq!(
         n_allocs, 0,
         "warmed serial broad phases performed {n_allocs} heap allocations"
@@ -170,24 +186,66 @@ fn warmed_assembly_cache_bookkeeping_allocates_nothing() {
     // then several open–close iterations' dirty-mask accumulate/consume
     // cycles (the device-side recompute/splice launches sit between these
     // in the pipeline and are audited for capacity reuse separately).
-    let _gate = GATE.lock().unwrap();
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    acache.begin_step(&sys, &contacts);
-    for it in 0..4 {
-        let mask = acache.dirty_mask();
-        for (k, m) in mask.iter_mut().enumerate() {
-            *m = u32::from(k % (it + 2) == 0);
+    let n_allocs = count_allocs(|| {
+        acache.begin_step(&sys, &contacts);
+        for it in 0..4 {
+            let mask = acache.dirty_mask();
+            for (k, m) in mask.iter_mut().enumerate() {
+                *m = u32::from(k % (it + 2) == 0);
+            }
+            mask.fill(0);
+            let _ = acache.stats();
         }
-        mask.fill(0);
-        let _ = acache.stats();
-    }
-    acache.invalidate();
-    ARMED.store(false, Ordering::SeqCst);
-
-    let n_allocs = ALLOCS.load(Ordering::SeqCst);
+        acache.invalidate();
+    });
     assert_eq!(
         n_allocs, 0,
         "warmed assembly-cache bookkeeping performed {n_allocs} heap allocations"
     );
+}
+
+/// The simulator's warp collectors keep their scratch thread-local and
+/// reuse it: once warmed, a per-thread launch (lane traces, lockstep
+/// segment sets, branch groups) and a block launch issuing a contiguous
+/// range load allocate nothing. Both launches stay below the pool
+/// thresholds, so every warp and block runs on the audited thread.
+#[test]
+fn warmed_device_launches_allocate_nothing() {
+    let dev = Device::new(DeviceProfile::tesla_k40());
+    let x: Vec<f64> = (0..1000).map(f64::from).collect();
+    let mut y = vec![0.0f64; 1000];
+    let out = Mutex::new(Vec::with_capacity(256));
+    let bx = dev.bind_ro(&x);
+    let by = dev.bind(&mut y);
+    let launches = || {
+        dev.launch("audit.saxpy", 1000, |lane| {
+            let i = lane.gid;
+            let v = lane.ld(&bx, i);
+            if lane.branch(0, i % 3 == 0) {
+                lane.flop(2);
+            }
+            lane.smem_st(lane.lane_id);
+            lane.st(&by, i, 2.0 * v);
+        });
+        dev.launch_blocks("audit.range", 4, 256, |blk| {
+            let mut out = out.lock().unwrap();
+            blk.gld_range_into(&bx, 256 * blk.block_id, 232, &mut out);
+            blk.flop_all(1);
+        });
+    };
+
+    // Warm: lane-trace capacities, segment scratch, and the trace's
+    // record vector (reset keeps its capacity).
+    launches();
+    launches();
+    dev.reset_trace();
+
+    let n_allocs = count_allocs(launches);
+    assert_eq!(
+        n_allocs, 0,
+        "warmed device launches performed {n_allocs} heap allocations"
+    );
+    let by_kernel = dev.trace().by_kernel();
+    assert!(by_kernel["audit.saxpy"].0.gmem_transactions > 0);
+    assert!(by_kernel["audit.range"].0.gmem_transactions > 0);
 }

@@ -10,16 +10,20 @@
 //!
 //! The accounting rules are identical to the lane-level collector: 128-byte
 //! coalescing over each warp's 32 addresses, 32-bank conflict replays,
-//! per-warp divergence groups for masked execution.
+//! per-warp divergence groups for masked execution. Contiguous range
+//! accesses are counted in closed form (a warp's elements cover every
+//! segment between its first and last byte); gathers and scatters go
+//! through the run-counting `coalesce::SegSet`.
 
 use crate::buffer::GBuf;
+use crate::coalesce::{SegSet, SEG_SHIFT, TEX_SEG_SHIFT};
 use crate::stats::KernelStats;
-use crate::{SMEM_BANKS, TEX_TRANSACTION_BYTES, TRANSACTION_BYTES, WARP_SIZE};
+use crate::{SMEM_BANKS, WARP_SIZE};
 
 thread_local! {
-    /// Reused per-warp transaction-segment scratch for address accounting.
-    static SEG_SCRATCH: std::cell::RefCell<Vec<u64>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    /// Reused per-warp distinct-segment scratch for address accounting.
+    static SEG_SCRATCH: std::cell::RefCell<SegSet> =
+        const { std::cell::RefCell::new(SegSet::new()) };
 }
 
 /// Execution context handed to a per-block kernel closure.
@@ -42,46 +46,54 @@ impl Block {
         }
     }
 
-    fn account_addresses<I: Iterator<Item = u64>>(&mut self, addrs: I, elem_bytes: u64, tex: bool) {
-        // Chunk the per-thread addresses into warps and count distinct
-        // transaction segments per warp. The segment scratch is per-thread
-        // and reused across every launch, so accounting never allocates.
-        let granularity = if tex {
-            TEX_TRANSACTION_BYTES
+    fn add_transactions(&mut self, n: u64, tex: bool) {
+        if tex {
+            self.stats.tex_transactions += n;
         } else {
-            TRANSACTION_BYTES
-        };
-        SEG_SCRATCH.with(|cell| {
-            let mut segs = cell.borrow_mut();
-            segs.clear();
-            let mut in_warp = 0usize;
-            let flush = |segs: &mut Vec<u64>, stats: &mut KernelStats| {
-                if segs.is_empty() {
-                    return;
-                }
-                segs.sort_unstable();
-                segs.dedup();
-                if tex {
-                    stats.tex_transactions += segs.len() as u64;
-                } else {
-                    stats.gmem_transactions += segs.len() as u64;
-                }
-                segs.clear();
-            };
-            for (addr, bytes) in addrs.map(|a| (a, elem_bytes)) {
-                let first = addr / granularity;
-                let last = (addr + bytes - 1) / granularity;
-                for s in first..=last {
-                    segs.push(s);
-                }
+            self.stats.gmem_transactions += n;
+        }
+    }
+
+    /// Transactions of threads `0..count` touching the contiguous elements
+    /// starting at `first_addr`, in closed form: each 32-thread chunk covers
+    /// one unbroken byte span, hence every segment from its first to its
+    /// last — `last_seg − first_seg + 1` of them.
+    fn account_range(&mut self, first_addr: u64, count: usize, elem_bytes: u64) {
+        let mut n = 0;
+        let mut addr = first_addr;
+        let mut left = count as u64;
+        while left > 0 {
+            let m = left.min(WARP_SIZE as u64);
+            n += ((addr + m * elem_bytes - 1) >> SEG_SHIFT) - (addr >> SEG_SHIFT) + 1;
+            addr += m * elem_bytes;
+            left -= m;
+        }
+        self.add_transactions(n, false);
+    }
+
+    /// Transactions of per-thread addresses `addrs` (gathers, scatters):
+    /// each warp's 32 addresses are folded into a [`SegSet`], which counts
+    /// segment changes while the warp's addresses are non-decreasing and
+    /// sorts only when they step backwards. The scratch is per-thread and
+    /// reused across every launch, so accounting never allocates.
+    fn account_addresses<I: Iterator<Item = u64>>(&mut self, addrs: I, elem_bytes: u64, tex: bool) {
+        let shift = if tex { TEX_SEG_SHIFT } else { SEG_SHIFT };
+        let n = SEG_SCRATCH.with(|cell| {
+            let mut set = cell.borrow_mut();
+            set.clear();
+            let (mut n, mut in_warp) = (0, 0);
+            for addr in addrs {
+                set.push_span(addr >> shift, (addr + elem_bytes - 1) >> shift);
                 in_warp += 1;
                 if in_warp == WARP_SIZE {
-                    flush(&mut segs, &mut self.stats);
+                    n += set.count();
+                    set.clear();
                     in_warp = 0;
                 }
             }
-            flush(&mut segs, &mut self.stats);
+            n + set.count()
         });
+        self.add_transactions(n, tex);
     }
 
     /// Every thread `t < count` loads `buf[start + t]`; returns the values.
@@ -106,11 +118,7 @@ impl Block {
         out: &mut Vec<T>,
     ) {
         self.stats.gmem_bytes += (count * buf.elem_bytes() as usize) as u64;
-        self.account_addresses(
-            (0..count).map(|t| buf.addr(start + t)),
-            u64::from(buf.elem_bytes()),
-            false,
-        );
+        self.account_range(buf.addr(start), count, u64::from(buf.elem_bytes()));
         out.clear();
         out.extend((0..count).map(|t| buf.get(start + t)));
     }
@@ -173,11 +181,7 @@ impl Block {
     /// Every thread `t < vals.len()` stores `vals[t]` to `buf[start + t]`.
     pub fn gst_range<T: Copy + Send>(&mut self, buf: &GBuf<T>, start: usize, vals: &[T]) {
         self.stats.gmem_bytes += (vals.len() * buf.elem_bytes() as usize) as u64;
-        self.account_addresses(
-            (0..vals.len()).map(|t| buf.addr(start + t)),
-            u64::from(buf.elem_bytes()),
-            false,
-        );
+        self.account_range(buf.addr(start), vals.len(), u64::from(buf.elem_bytes()));
         for (t, &v) in vals.iter().enumerate() {
             buf.set(start + t, v, self.epoch);
         }
@@ -355,12 +359,127 @@ fn front_len(mask: &[bool]) -> Option<usize> {
     mask[len..].iter().all(|&b| !b).then_some(len)
 }
 
+/// The sort+dedup accounting the closed-form range and run-count paths
+/// replaced, kept as the oracle their property tests compare against.
+#[cfg(test)]
+fn account_addresses_reference<I: Iterator<Item = u64>>(
+    stats: &mut KernelStats,
+    addrs: I,
+    elem_bytes: u64,
+    tex: bool,
+) {
+    use crate::{TEX_TRANSACTION_BYTES, TRANSACTION_BYTES};
+    let granularity = if tex {
+        TEX_TRANSACTION_BYTES
+    } else {
+        TRANSACTION_BYTES
+    };
+    let mut segs: Vec<u64> = Vec::new();
+    let mut in_warp = 0usize;
+    let flush = |segs: &mut Vec<u64>, stats: &mut KernelStats| {
+        if segs.is_empty() {
+            return;
+        }
+        segs.sort_unstable();
+        segs.dedup();
+        if tex {
+            stats.tex_transactions += segs.len() as u64;
+        } else {
+            stats.gmem_transactions += segs.len() as u64;
+        }
+        segs.clear();
+    };
+    for addr in addrs {
+        let first = addr / granularity;
+        let last = (addr + elem_bytes - 1) / granularity;
+        for s in first..=last {
+            segs.push(s);
+        }
+        in_warp += 1;
+        if in_warp == WARP_SIZE {
+            flush(&mut segs, stats);
+            in_warp = 0;
+        }
+    }
+    flush(&mut segs, stats);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn block() -> Block {
         Block::new(0, 256, 1)
+    }
+
+    /// Element indices for a gather, built warp by warp from a mix of
+    /// patterns: sorted random, repeated runs, reversed, shuffled, and
+    /// broadcast.
+    fn random_gather(seed: u64) -> Vec<u64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(0..200);
+        let mut idxs = Vec::with_capacity(n);
+        while idxs.len() < n {
+            let m = WARP_SIZE.min(n - idxs.len());
+            let base = rng.gen_range(0..2048) as u64;
+            let mut chunk: Vec<u64> = match rng.gen_range(0..5) {
+                0 => (0..m)
+                    .map(|_| base + rng.gen_range(0..512) as u64)
+                    .collect(),
+                1 => (0..m as u64).map(|t| base + t / 3).collect(),
+                2 => (0..m as u64).rev().map(|t| base + 2 * t).collect(),
+                3 => (0..m).map(|_| rng.gen_range(0..4096) as u64).collect(),
+                _ => vec![base; m],
+            };
+            if rng.gen::<bool>() {
+                chunk.sort_unstable();
+            }
+            idxs.extend(chunk);
+        }
+        idxs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn closed_form_range_matches_sort_dedup_oracle(
+            start in 0u64..5000,
+            count in 0usize..300,
+            elem in 1u64..289,
+            base in 0u64..4096,
+        ) {
+            let first = (1 << 12) + base + start * elem;
+            let addrs = || (0..count as u64).map(|t| first + t * elem);
+            let mut oracle = KernelStats::default();
+            account_addresses_reference(&mut oracle, addrs(), elem, false);
+            let mut closed = block();
+            closed.account_range(first, count, elem);
+            prop_assert_eq!(closed.stats, oracle);
+            let mut generic = block();
+            generic.account_addresses(addrs(), elem, false);
+            prop_assert_eq!(generic.stats, oracle);
+        }
+
+        #[test]
+        fn run_count_gather_matches_sort_dedup_oracle(
+            seed in 0u64..u64::MAX,
+            elem in 1u64..289,
+            base in 0u64..4096,
+            tex in 0u32..2,
+        ) {
+            let tex = tex == 1;
+            let idxs = random_gather(seed);
+            let addrs = || idxs.iter().map(|&i| (1 << 12) + base + i * elem);
+            let mut oracle = KernelStats::default();
+            account_addresses_reference(&mut oracle, addrs(), elem, tex);
+            let mut fast = block();
+            fast.account_addresses(addrs(), elem, tex);
+            prop_assert_eq!(fast.stats, oracle);
+        }
     }
 
     #[test]

@@ -7,10 +7,21 @@
 //! of every lane — to derive coalesced transaction counts, shared-memory
 //! bank conflicts, and branch-divergence groups exactly as the hardware
 //! would observe them.
+//!
+//! The collector is one-pass. The active lanes are a prefix of the warp;
+//! a single walk over them takes every per-lane total and maximum. Then,
+//! for each lockstep slot *k*, one walk over the lanes buckets the k-th
+//! loads, stores and texture loads together. Each bucket is a distinct
+//! segment set (`coalesce::SegSet`) that appends only segment changes and
+//! is counted by its length while the lanes' addresses are non-decreasing;
+//! it sorts and dedups only when a lane steps backwards. Branch groups of a
+//! slot live in a stack array, and the segment scratch is thread-local, so
+//! a warmed launch does not allocate.
 
 use crate::buffer::GBuf;
+use crate::coalesce::{SegSet, SEG_SHIFT, TEX_SEG_SHIFT};
 use crate::stats::KernelStats;
-use crate::{SMEM_BANKS, TEX_TRANSACTION_BYTES, TRANSACTION_BYTES, WARP_SIZE};
+use crate::{SMEM_BANKS, WARP_SIZE};
 
 /// Kind of a recorded global-memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,126 +174,304 @@ impl<'w> Lane<'w> {
     }
 }
 
-/// Transaction-segment keys plus `(width, read, tex)` divergence groups.
-type AggScratch = (Vec<u64>, Vec<(u32, bool, bool)>);
+/// Per-kind distinct-segment sets for one lockstep slot: loads, stores,
+/// texture loads.
+type AggScratch = [SegSet; 3];
 
 thread_local! {
-    /// Reused transaction-segment and divergence-group scratch, so warp
-    /// aggregation in the steady-state hot loop never allocates.
+    /// Reused segment-set scratch, so warp aggregation in the steady-state
+    /// hot loop never allocates.
     static AGG_SCRATCH: std::cell::RefCell<AggScratch> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+        const { std::cell::RefCell::new([SegSet::new(), SegSet::new(), SegSet::new()]) };
 }
 
 /// Folds the 32 lane traces of one warp into `stats`, applying the lockstep
 /// coalescing / bank-conflict / divergence rules.
+///
+/// Active lanes form a prefix of the warp (only a tail warp has idle lanes,
+/// and they are its last ones), so the collector works on that prefix.
 pub(crate) fn aggregate_warp(lanes: &[LaneRec], stats: &mut KernelStats) {
-    let active = || lanes.iter().filter(|l| l.active);
-    if active().next().is_none() {
+    let n_active = lanes.iter().position(|l| !l.active).unwrap_or(lanes.len());
+    debug_assert!(
+        lanes[n_active..].iter().all(|l| !l.active),
+        "active lanes must form a prefix of the warp"
+    );
+    let lanes = &lanes[..n_active];
+    if lanes.is_empty() {
         return;
     }
-    AGG_SCRATCH.with(|scratch| {
-        let mut scratch = scratch.borrow_mut();
-        let (segs, groups) = &mut *scratch;
 
-        // --- SIMT compute work ---------------------------------------------
-        let mut max_flops = 0u64;
-        for l in active() {
-            stats.flops += l.flops;
-            max_flops = max_flops.max(l.flops);
-            stats.gmem_bytes += l.mem.iter().map(|m| u64::from(m.bytes)).sum::<u64>();
-        }
-        stats.warp_flops += max_flops * WARP_SIZE as u64;
+    // --- Per-lane totals and maxima, one pass ------------------------------
+    let (mut max_flops, mut max_mem, mut max_smem, mut max_br) = (0u64, 0, 0, 0);
+    let (mut max_shuffles, mut max_syncs) = (0u64, 0u64);
+    for l in lanes {
+        stats.flops += l.flops;
+        max_flops = max_flops.max(l.flops);
+        max_mem = max_mem.max(l.mem.len());
+        max_smem = max_smem.max(l.smem.len());
+        max_br = max_br.max(l.branches.len());
+        max_shuffles = max_shuffles.max(l.shuffles);
+        max_syncs = max_syncs.max(l.syncs);
+    }
+    stats.warp_flops += max_flops * WARP_SIZE as u64;
+    stats.shuffles += max_shuffles;
+    stats.syncs += max_syncs;
 
-        // --- Global memory: zip k-th access of each lane -------------------
-        let max_mem = active().map(|l| l.mem.len()).max().unwrap_or(0);
-        for k in 0..max_mem {
-            for kind in [MemKind::Load, MemKind::Store, MemKind::Tex] {
-                segs.clear();
-                let granularity = if kind == MemKind::Tex {
-                    TEX_TRANSACTION_BYTES
-                } else {
-                    TRANSACTION_BYTES
-                };
-                for l in active() {
+    // --- Global memory: one pass over the lanes per lockstep slot ----------
+    // The k-th accesses of all lanes are bucketed by kind; each bucket
+    // counts its distinct segments (an element spanning a boundary costs
+    // both segments).
+    if max_mem > 0 {
+        AGG_SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            let [loads, stores, tex] = &mut *scratch;
+            for k in 0..max_mem {
+                loads.clear();
+                stores.clear();
+                tex.clear();
+                for l in lanes {
                     if let Some(m) = l.mem.get(k) {
-                        if m.kind == kind {
-                            // An element spanning a boundary costs both segments.
-                            let first = m.addr / granularity;
-                            let last = (m.addr + u64::from(m.bytes) - 1) / granularity;
-                            for s in first..=last {
-                                segs.push(s);
+                        stats.gmem_bytes += u64::from(m.bytes);
+                        let end = m.addr + u64::from(m.bytes) - 1;
+                        match m.kind {
+                            MemKind::Load => loads.push_span(m.addr >> SEG_SHIFT, end >> SEG_SHIFT),
+                            MemKind::Store => {
+                                stores.push_span(m.addr >> SEG_SHIFT, end >> SEG_SHIFT)
+                            }
+                            MemKind::Tex => {
+                                tex.push_span(m.addr >> TEX_SEG_SHIFT, end >> TEX_SEG_SHIFT)
                             }
                         }
                     }
                 }
-                if segs.is_empty() {
-                    continue;
-                }
-                segs.sort_unstable();
-                segs.dedup();
-                if kind == MemKind::Tex {
-                    stats.tex_transactions += segs.len() as u64;
-                } else {
-                    stats.gmem_transactions += segs.len() as u64;
-                }
+                stats.gmem_transactions += loads.count() + stores.count();
+                stats.tex_transactions += tex.count();
+            }
+        });
+    }
+
+    // --- Shared memory: bank conflicts per lockstep access -----------------
+    for k in 0..max_smem {
+        let mut bank_count = [0u32; SMEM_BANKS];
+        let mut n = 0u64;
+        for l in lanes {
+            if let Some(&w) = l.smem.get(k) {
+                bank_count[(w as usize) % SMEM_BANKS] += 1;
+                n += 1;
             }
         }
+        stats.smem_accesses += n;
+        let max_mult = *bank_count.iter().max().unwrap();
+        stats.smem_replays += u64::from(max_mult.saturating_sub(1));
+    }
 
-        // --- Shared memory: bank conflicts per lockstep access --------------
-        let max_smem = active().map(|l| l.smem.len()).max().unwrap_or(0);
-        for k in 0..max_smem {
-            let mut bank_count = [0u32; SMEM_BANKS];
-            let mut n = 0u64;
-            for l in active() {
-                if let Some(&w) = l.smem.get(k) {
-                    bank_count[(w as usize) % SMEM_BANKS] += 1;
-                    n += 1;
-                }
-            }
-            if n > 0 {
-                stats.smem_accesses += n;
-                let max_mult = *bank_count.iter().max().unwrap();
-                stats.smem_replays += u64::from(max_mult.saturating_sub(1));
-            }
-        }
-
-        // --- Branch divergence: zip k-th branch, grouped by site -----------
-        let max_br = active().map(|l| l.branches.len()).max().unwrap_or(0);
-        for k in 0..max_br {
-            // Group the k-th decision of each lane by site; within a site
-            // group, mixed outcomes form a divergence event.
-            groups.clear(); // entries are (site, saw_taken, saw_not)
-            for l in active() {
-                if let Some(&(site, taken)) = l.branches.get(k) {
-                    match groups.iter_mut().find(|g| g.0 == site) {
-                        Some(g) => {
-                            g.1 |= taken;
-                            g.2 |= !taken;
-                        }
-                        None => groups.push((site, taken, !taken)),
+    // --- Branch divergence: zip k-th branch, grouped by site ---------------
+    // Within a site group, mixed outcomes form a divergence event. At most
+    // one group per lane, so the groups fit a stack array.
+    let mut groups = [(0u32, false, false); WARP_SIZE]; // (site, saw_taken, saw_not)
+    for k in 0..max_br {
+        let mut n_groups = 0;
+        for l in lanes {
+            if let Some(&(site, taken)) = l.branches.get(k) {
+                match groups[..n_groups].iter_mut().find(|g| g.0 == site) {
+                    Some(g) => {
+                        g.1 |= taken;
+                        g.2 |= !taken;
+                    }
+                    None => {
+                        groups[n_groups] = (site, taken, !taken);
+                        n_groups += 1;
                     }
                 }
             }
-            for &(_, saw_taken, saw_not) in groups.iter() {
-                stats.branch_groups += 1;
-                if saw_taken && saw_not {
-                    stats.divergent_branch_groups += 1;
+        }
+        stats.branch_groups += n_groups as u64;
+        stats.divergent_branch_groups +=
+            groups[..n_groups].iter().filter(|g| g.1 && g.2).count() as u64;
+    }
+}
+
+/// The sort+dedup collector the one-pass [`aggregate_warp`] replaced, kept
+/// as the oracle its property tests compare against.
+#[cfg(test)]
+pub(crate) fn aggregate_warp_reference(lanes: &[LaneRec], stats: &mut KernelStats) {
+    use crate::{TEX_TRANSACTION_BYTES, TRANSACTION_BYTES};
+    let active = || lanes.iter().filter(|l| l.active);
+    if active().next().is_none() {
+        return;
+    }
+    let mut segs: Vec<u64> = Vec::new();
+    let mut groups: Vec<(u32, bool, bool)> = Vec::new();
+
+    let mut max_flops = 0u64;
+    for l in active() {
+        stats.flops += l.flops;
+        max_flops = max_flops.max(l.flops);
+        stats.gmem_bytes += l.mem.iter().map(|m| u64::from(m.bytes)).sum::<u64>();
+    }
+    stats.warp_flops += max_flops * WARP_SIZE as u64;
+
+    let max_mem = active().map(|l| l.mem.len()).max().unwrap_or(0);
+    for k in 0..max_mem {
+        for kind in [MemKind::Load, MemKind::Store, MemKind::Tex] {
+            segs.clear();
+            let granularity = if kind == MemKind::Tex {
+                TEX_TRANSACTION_BYTES
+            } else {
+                TRANSACTION_BYTES
+            };
+            for l in active() {
+                if let Some(m) = l.mem.get(k) {
+                    if m.kind == kind {
+                        let first = m.addr / granularity;
+                        let last = (m.addr + u64::from(m.bytes) - 1) / granularity;
+                        for s in first..=last {
+                            segs.push(s);
+                        }
+                    }
+                }
+            }
+            if segs.is_empty() {
+                continue;
+            }
+            segs.sort_unstable();
+            segs.dedup();
+            if kind == MemKind::Tex {
+                stats.tex_transactions += segs.len() as u64;
+            } else {
+                stats.gmem_transactions += segs.len() as u64;
+            }
+        }
+    }
+
+    let max_smem = active().map(|l| l.smem.len()).max().unwrap_or(0);
+    for k in 0..max_smem {
+        let mut bank_count = [0u32; SMEM_BANKS];
+        let mut n = 0u64;
+        for l in active() {
+            if let Some(&w) = l.smem.get(k) {
+                bank_count[(w as usize) % SMEM_BANKS] += 1;
+                n += 1;
+            }
+        }
+        if n > 0 {
+            stats.smem_accesses += n;
+            let max_mult = *bank_count.iter().max().unwrap();
+            stats.smem_replays += u64::from(max_mult.saturating_sub(1));
+        }
+    }
+
+    let max_br = active().map(|l| l.branches.len()).max().unwrap_or(0);
+    for k in 0..max_br {
+        groups.clear();
+        for l in active() {
+            if let Some(&(site, taken)) = l.branches.get(k) {
+                match groups.iter_mut().find(|g| g.0 == site) {
+                    Some(g) => {
+                        g.1 |= taken;
+                        g.2 |= !taken;
+                    }
+                    None => groups.push((site, taken, !taken)),
                 }
             }
         }
+        for &(_, saw_taken, saw_not) in groups.iter() {
+            stats.branch_groups += 1;
+            if saw_taken && saw_not {
+                stats.divergent_branch_groups += 1;
+            }
+        }
+    }
 
-        // --- Warp-uniform ops ----------------------------------------------
-        stats.shuffles += active().map(|l| l.shuffles).max().unwrap_or(0);
-        stats.syncs += active().map(|l| l.syncs).max().unwrap_or(0);
-    });
+    stats.shuffles += active().map(|l| l.shuffles).max().unwrap_or(0);
+    stats.syncs += active().map(|l| l.syncs).max().unwrap_or(0);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn fresh_warp() -> Vec<LaneRec> {
         (0..WARP_SIZE).map(|_| LaneRec::default()).collect()
+    }
+
+    /// A warp whose first `n_active` lanes carry random traces. Each access
+    /// slot has a shared address pattern (coalesced, strided, broadcast,
+    /// reversed, repeated runs, or a random gather with per-lane element
+    /// sizes) and element sizes of 1–288 bytes, so elements straddle
+    /// segments; every lane picks its own access kind (mixing loads, stores
+    /// and texture loads in one slot) and may stop early (ragged traces).
+    fn random_warp(seed: u64, n_active: usize) -> Vec<LaneRec> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let slots = rng.gen_range(0..7);
+        let plans: Vec<(usize, u64, u32, u64)> = (0..slots)
+            .map(|_| {
+                (
+                    rng.gen_range(0..6),
+                    (1 << 12) + rng.gen_range(0..1 << 14) as u64,
+                    rng.gen_range(1..289) as u32,
+                    rng.gen_range(1..40) as u64,
+                )
+            })
+            .collect();
+        let mut warp = fresh_warp();
+        for (lane, rec) in warp.iter_mut().enumerate().take(n_active) {
+            let l = lane as u64;
+            rec.active = true;
+            rec.flops = rng.gen_range(0..50) as u64;
+            rec.shuffles = rng.gen_range(0..4) as u64;
+            rec.syncs = rng.gen_range(0..3) as u64;
+            let n_mem = rng.gen_range(slots.saturating_sub(1)..slots + 1);
+            for &(pattern, base, bytes, stride) in &plans[..n_mem] {
+                let e = u64::from(bytes);
+                let (offset, bytes) = match pattern {
+                    0 => (l * e, bytes),
+                    1 => (l * stride * e, bytes),
+                    2 => (0, bytes),
+                    3 => ((WARP_SIZE as u64 - 1 - l) * e, bytes),
+                    4 => ((l / 4) * e, bytes),
+                    _ => (rng.gen_range(0..4096) as u64, rng.gen_range(1..289) as u32),
+                };
+                let kind = match rng.gen_range(0..3) {
+                    0 => MemKind::Load,
+                    1 => MemKind::Store,
+                    _ => MemKind::Tex,
+                };
+                rec.mem.push(MemAcc {
+                    addr: base + offset,
+                    bytes,
+                    kind,
+                });
+            }
+            for _ in 0..rng.gen_range(0..5) {
+                rec.smem.push(rng.gen::<u32>() % 4096);
+            }
+            for _ in 0..rng.gen_range(0..6) {
+                rec.branches
+                    .push((rng.gen_range(0..4) as u32, rng.gen::<bool>()));
+            }
+        }
+        warp
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn one_pass_collector_matches_sort_dedup_oracle(
+            seed in 0u64..u64::MAX,
+            n_active in 0usize..WARP_SIZE + 1,
+        ) {
+            let warp = random_warp(seed, n_active);
+            let mut fast = KernelStats::default();
+            let mut oracle = KernelStats::default();
+            aggregate_warp(&warp, &mut fast);
+            aggregate_warp_reference(&warp, &mut oracle);
+            prop_assert_eq!(fast, oracle);
+        }
     }
 
     fn run_lane(rec: &mut LaneRec, gid: usize, f: impl FnOnce(&mut Lane)) {

@@ -8,6 +8,24 @@
 
 use super::BLOCK;
 use crate::device::Device;
+use crate::WARP_SIZE;
+use std::cell::RefCell;
+
+/// Per-thread tile buffers of the scan kernels, reused across blocks and
+/// launches so a warmed scan allocates only its result vectors.
+struct TileScratch {
+    vals: Vec<u32>,
+    scanned: Vec<u32>,
+}
+
+thread_local! {
+    static TILE_SCRATCH: RefCell<TileScratch> = const {
+        RefCell::new(TileScratch {
+            vals: Vec::new(),
+            scanned: Vec::new(),
+        })
+    };
+}
 
 /// Exclusive prefix sum of `input`; returns the scanned vector and the
 /// total sum.
@@ -28,24 +46,28 @@ pub fn scan_exclusive_u32(dev: &Device, input: &[u32]) -> (Vec<u32>, u32) {
         let b_out = dev.bind(&mut out);
         let b_sums = dev.bind(&mut sums);
         dev.launch_blocks("scan.tile", n_blocks, BLOCK, |blk| {
-            let start = blk.block_id * BLOCK;
-            let count = BLOCK.min(n - start);
-            let vals = blk.gld_range(&b_in, start, count);
-            // Warp shuffle scans + one shared-memory pass for warp totals.
-            blk.shfl_reduce_cost(count, 32);
-            let warp_words: Vec<u32> = (0..count.div_ceil(32) as u32).collect();
-            blk.smem_access(&warp_words);
-            blk.sync();
-            blk.flop_masked(count, 1);
+            TILE_SCRATCH.with(|cell| {
+                let mut s = cell.borrow_mut();
+                let TileScratch { vals, scanned } = &mut *s;
+                let start = blk.block_id * BLOCK;
+                let count = BLOCK.min(n - start);
+                blk.gld_range_into(&b_in, start, count, vals);
+                // Warp shuffle scans + one shared-memory pass for warp totals.
+                blk.shfl_reduce_cost(count, 32);
+                let warp_words: [u32; BLOCK / WARP_SIZE] = std::array::from_fn(|w| w as u32);
+                blk.smem_access(&warp_words[..count.div_ceil(WARP_SIZE)]);
+                blk.sync();
+                blk.flop_masked(count, 1);
 
-            let mut acc = 0u32;
-            let mut scanned = Vec::with_capacity(count);
-            for v in vals {
-                scanned.push(acc);
-                acc = acc.wrapping_add(v);
-            }
-            blk.gst_range(&b_out, start, &scanned);
-            blk.gst_one(&b_sums, blk.block_id, acc);
+                let mut acc = 0u32;
+                scanned.clear();
+                for &v in vals.iter() {
+                    scanned.push(acc);
+                    acc = acc.wrapping_add(v);
+                }
+                blk.gst_range(&b_out, start, scanned);
+                blk.gst_one(&b_sums, blk.block_id, acc);
+            });
         });
     }
 
@@ -67,10 +89,15 @@ pub fn scan_exclusive_u32(dev: &Device, input: &[u32]) -> (Vec<u32>, u32) {
             if offset == 0 {
                 return; // first tile needs no update; still a real launch
             }
-            let vals = blk.gld_range(&b_out, start, count);
-            blk.flop_masked(count, 1);
-            let shifted: Vec<u32> = vals.iter().map(|v| v.wrapping_add(offset)).collect();
-            blk.gst_range(&b_out, start, &shifted);
+            TILE_SCRATCH.with(|cell| {
+                let vals = &mut cell.borrow_mut().vals;
+                blk.gld_range_into(&b_out, start, count, vals);
+                blk.flop_masked(count, 1);
+                for v in vals.iter_mut() {
+                    *v = v.wrapping_add(offset);
+                }
+                blk.gst_range(&b_out, start, vals);
+            });
         });
     }
 
